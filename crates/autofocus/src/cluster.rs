@@ -11,6 +11,7 @@
 use crate::hierarchy::hhh_1d;
 use nf_types::{FiveTuple, FlowAggregate, NfId, NfKind, PortRange, Prefix, ProtoMatch};
 use serde::{Deserialize, Serialize};
+use std::cmp::{Ordering, Reverse};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -42,6 +43,15 @@ impl LocationAgg {
             LocationAgg::Exact(Location::Source) => Some(LocationAgg::Any),
             LocationAgg::Kind(_) => Some(LocationAgg::Any),
             LocationAgg::Any => None,
+        }
+    }
+
+    /// Generalisation steps up to [`LocationAgg::Any`].
+    pub fn depth(&self) -> usize {
+        match self {
+            LocationAgg::Exact(Location::Nf(_)) => 2,
+            LocationAgg::Exact(Location::Source) | LocationAgg::Kind(_) => 1,
+            LocationAgg::Any => 0,
         }
     }
 
@@ -114,10 +124,13 @@ impl SideAggregate {
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
     /// Fraction of the total weight a cluster must claim (the paper's `th`,
-    /// 1% in the evaluation).
+    /// 1% in the evaluation). Must be positive: compression never looks at
+    /// candidates that match no item, which is exact only because a zero
+    /// claim cannot reach a positive threshold.
     pub threshold: f64,
     /// Cap on unidimensionally significant values kept per dimension
-    /// (safety valve against candidate blow-up).
+    /// (safety valve against candidate blow-up). Values above 511 act as
+    /// 511, so that a dimension index fits the packed candidate key.
     pub max_per_dim: usize,
 }
 
@@ -275,15 +288,17 @@ pub fn aggregate_side(
     }
 
     // 1. Unidimensional HHH per dimension.
+    let max_kept = cfg.max_per_dim.min(MAX_KEPT - 1);
     let src: Vec<Prefix> = top(
         hhh_1d(
             items
                 .iter()
                 .filter_map(|i| i.flow.map(|f| (Prefix::host(f.src_ip), i.weight))),
             |p: &Prefix| p.parent(),
+            |p: &Prefix| usize::from(p.len()),
             th,
         ),
-        cfg.max_per_dim,
+        max_kept,
     );
     let dst: Vec<Prefix> = top(
         hhh_1d(
@@ -291,9 +306,10 @@ pub fn aggregate_side(
                 .iter()
                 .filter_map(|i| i.flow.map(|f| (Prefix::host(f.dst_ip), i.weight))),
             |p: &Prefix| p.parent(),
+            |p: &Prefix| usize::from(p.len()),
             th,
         ),
-        cfg.max_per_dim,
+        max_kept,
     );
     let sport: Vec<PortRange> = top(
         hhh_1d(
@@ -301,9 +317,10 @@ pub fn aggregate_side(
                 .iter()
                 .filter_map(|i| i.flow.map(|f| (PortRange::exact(f.src_port), i.weight))),
             |p: &PortRange| p.static_parent(),
+            port_depth,
             th,
         ),
-        cfg.max_per_dim,
+        max_kept,
     );
     let dport: Vec<PortRange> = top(
         hhh_1d(
@@ -311,9 +328,10 @@ pub fn aggregate_side(
                 .iter()
                 .filter_map(|i| i.flow.map(|f| (PortRange::exact(f.dst_port), i.weight))),
             |p: &PortRange| p.static_parent(),
+            port_depth,
             th,
         ),
-        cfg.max_per_dim,
+        max_kept,
     );
     let proto: Vec<ProtoMatch> = top(
         hhh_1d(
@@ -324,17 +342,19 @@ pub fn aggregate_side(
                 ProtoMatch::Exact(_) => Some(ProtoMatch::Any),
                 ProtoMatch::Any => None,
             },
+            |p: &ProtoMatch| usize::from(matches!(p, ProtoMatch::Exact(_))),
             th,
         ),
-        cfg.max_per_dim,
+        max_kept,
     );
     let locs: Vec<LocationAgg> = top(
         hhh_1d(
             items.iter().map(|i| (LocationAgg::Exact(i.loc), i.weight)),
             |l: &LocationAgg| l.parent(kind_of),
+            LocationAgg::depth,
             th,
         ),
-        cfg.max_per_dim,
+        max_kept,
     );
 
     // Always include the wildcard in every dimension so the catch-all
@@ -367,120 +387,169 @@ pub fn aggregate_side(
     // Per-dimension weight of each kept value (total weight of the items it
     // matches). A multi-dimensional cluster can never claim more than the
     // weight of any single value it is built from, so the minimum over its
-    // dimensions is an upper bound — AutoFocus's candidate-pruning trick,
-    // which keeps the cross product tractable.
+    // dimensions is an upper bound — AutoFocus's candidate-pruning trick:
+    // a candidate is dropped when any of its values weighs under `th`.
     let weight_of = |pred: &dyn Fn(&SideItem) -> bool| -> f64 {
         // float: canonical-order(summed over the input slice in its stored order)
         items.iter().filter(|i| pred(i)).map(|i| i.weight).sum()
     };
-    let src_w: Vec<f64> = src
-        .iter()
-        .map(|p| weight_of(&|i: &SideItem| i.flow.map_or(p.is_any(), |f| p.contains(f.src_ip))))
-        .collect();
-    let dst_w: Vec<f64> = dst
-        .iter()
-        .map(|p| weight_of(&|i: &SideItem| i.flow.map_or(p.is_any(), |f| p.contains(f.dst_ip))))
-        .collect();
-    let sport_w: Vec<f64> = sport
-        .iter()
-        .map(|r| weight_of(&|i: &SideItem| i.flow.map_or(r.is_any(), |f| r.contains(f.src_port))))
-        .collect();
-    let dport_w: Vec<f64> = dport
-        .iter()
-        .map(|r| weight_of(&|i: &SideItem| i.flow.map_or(r.is_any(), |f| r.contains(f.dst_port))))
-        .collect();
-    let proto_w: Vec<f64> = proto
-        .iter()
-        .map(|p| {
-            weight_of(&|i: &SideItem| {
-                i.flow
-                    .map_or(matches!(p, ProtoMatch::Any), |f| p.contains(f.proto))
-            })
-        })
-        .collect();
-    let locs_w: Vec<f64> = locs
-        .iter()
-        .map(|l| weight_of(&|i: &SideItem| l.matches(i.loc, kind_of)))
-        .collect();
+    let src_m = |p: &Prefix, i: &SideItem| i.flow.map_or(p.is_any(), |f| p.contains(f.src_ip));
+    let dst_m = |p: &Prefix, i: &SideItem| i.flow.map_or(p.is_any(), |f| p.contains(f.dst_ip));
+    let sport_m =
+        |r: &PortRange, i: &SideItem| i.flow.map_or(r.is_any(), |f| r.contains(f.src_port));
+    let dport_m =
+        |r: &PortRange, i: &SideItem| i.flow.map_or(r.is_any(), |f| r.contains(f.dst_port));
+    let proto_m = |p: &ProtoMatch, i: &SideItem| {
+        i.flow
+            .map_or(matches!(p, ProtoMatch::Any), |f| p.contains(f.proto))
+    };
+    let locs_m = |l: &LocationAgg, i: &SideItem| l.matches(i.loc, kind_of);
+    let src_live = live(src.iter().map(|p| weight_of(&|i| src_m(p, i))), th);
+    let dst_live = live(dst.iter().map(|p| weight_of(&|i| dst_m(p, i))), th);
+    let proto_live = live(proto.iter().map(|p| weight_of(&|i| proto_m(p, i))), th);
+    let sport_live = live(sport.iter().map(|r| weight_of(&|i| sport_m(r, i))), th);
+    let dport_live = live(dport.iter().map(|r| weight_of(&|i| dport_m(r, i))), th);
+    let locs_live = live(locs.iter().map(|l| weight_of(&|i| locs_m(l, i))), th);
 
-    // 2. Candidate cross product, pruned by the upper bound.
-    let mut candidates: Vec<SideAggregate> = Vec::new();
-    for (si, &s) in src.iter().enumerate() {
-        for (di, &d) in dst.iter().enumerate() {
-            let b2 = src_w[si].min(dst_w[di]);
-            if b2 < th {
-                continue;
-            }
-            for (pi, &pr) in proto.iter().enumerate() {
-                let b3 = b2.min(proto_w[pi]);
-                if b3 < th {
-                    continue;
-                }
-                for (spi, &sp) in sport.iter().enumerate() {
-                    let b4 = b3.min(sport_w[spi]);
-                    if b4 < th {
-                        continue;
-                    }
-                    for (dpi, &dp) in dport.iter().enumerate() {
-                        let b5 = b4.min(dport_w[dpi]);
-                        if b5 < th {
-                            continue;
-                        }
-                        for (li, &l) in locs.iter().enumerate() {
-                            if b5.min(locs_w[li]) < th {
-                                continue;
+    // 2. Candidates from items. The candidates an item counts towards are
+    // the cross product of the live values it matches in each dimension;
+    // emit one (candidate key, item) pair for each, items in ascending
+    // index. A candidate that matches no item claims nothing, so with
+    // th > 0 it is never reported and never takes an item: leaving it out
+    // changes no output. The catch-all weighs `total` > th in every
+    // dimension (th ≥ 0.999 × total took the meet path above), so it is
+    // always live and every item pairs with it.
+    let mut pairs: Vec<(u64, usize)> = Vec::new();
+    let mut hits: [Vec<usize>; 6] = Default::default();
+    for (n, item) in items.iter().enumerate() {
+        let [hs, hd, hp, hsp, hdp, hl] = &mut hits;
+        matching(hs, &src_live, |v| src_m(&src[v], item));
+        matching(hd, &dst_live, |v| dst_m(&dst[v], item));
+        matching(hp, &proto_live, |v| proto_m(&proto[v], item));
+        matching(hsp, &sport_live, |v| sport_m(&sport[v], item));
+        matching(hdp, &dport_live, |v| dport_m(&dport[v], item));
+        matching(hl, &locs_live, |v| locs_m(&locs[v], item));
+        for &si in hs.iter() {
+            for &di in hd.iter() {
+                for &pi in hp.iter() {
+                    for &spi in hsp.iter() {
+                        for &dpi in hdp.iter() {
+                            for &li in hl.iter() {
+                                pairs.push((pack([si, di, pi, spi, dpi, li]), n));
                             }
-                            candidates.push(SideAggregate {
-                                flow: FlowAggregate {
-                                    src: s,
-                                    dst: d,
-                                    proto: pr,
-                                    src_port: sp,
-                                    dst_port: dp,
-                                },
-                                loc: l,
-                            });
                         }
                     }
                 }
             }
         }
     }
-    // The catch-all must always be present even when its bound fell under
-    // the threshold (weights must be conserved).
-    let catch_all = SideAggregate {
-        flow: FlowAggregate::ANY,
-        loc: LocationAgg::Any,
-    };
-    if !candidates.contains(&catch_all) {
-        candidates.push(catch_all);
-    }
+    // Sorting groups each candidate's pairs, items still ascending, with
+    // candidates in cross-product (lexicographic index) order; the stable
+    // specificity sort of the groups then gives the compression order.
+    pairs.sort_unstable();
+    let mut candidates: Vec<_> = pairs
+        .chunk_by(|a, b| a.0 == b.0)
+        .map(|run| {
+            let [si, di, pi, spi, dpi, li] = unpack(run[0].0);
+            let cand = SideAggregate {
+                flow: FlowAggregate {
+                    src: src[si],
+                    dst: dst[di],
+                    proto: proto[pi],
+                    src_port: sport[spi],
+                    dst_port: dport[dpi],
+                },
+                loc: locs[li],
+            };
+            (Reverse(cand.specificity()), cand, run)
+        })
+        .collect();
+    candidates.sort_by_key(|c| c.0);
 
     // 3. Compression: most specific first; a candidate claims the items it
     // matches that no reported cluster has claimed; report if the claim
     // reaches the threshold. The (ANY, ANY) catch-all is always reported
-    // last with the remainder. Claimed items leave the working list, so
-    // later candidates scan ever-shorter lists.
-    candidates.sort_by_key(|c| std::cmp::Reverse(c.specificity()));
-    let mut remaining: Vec<&SideItem> = items.iter().collect();
+    // last with the remainder.
+    let catch_all = SideAggregate {
+        flow: FlowAggregate::ANY,
+        loc: LocationAgg::Any,
+    };
+    let mut claimed = vec![false; items.len()];
+    let mut unclaimed = items.len();
     let mut out: Vec<(SideAggregate, f64)> = Vec::new();
-    for cand in candidates {
-        if remaining.is_empty() {
+    for (_, cand, run) in candidates {
+        if unclaimed == 0 {
             break;
         }
-        let is_catch_all = cand == catch_all;
-        let claim: f64 = remaining
+        let claim: f64 = run
             .iter()
-            .filter(|item| cand.matches(item.flow.as_ref(), item.loc, kind_of))
-            .map(|item| item.weight)
-            .sum(); // float: canonical-order(`remaining` is a Vec walked in stored order)
-        if claim >= th || (is_catch_all && claim > 0.0) {
-            remaining.retain(|item| !cand.matches(item.flow.as_ref(), item.loc, kind_of));
+            .filter(|&&(_, n)| !claimed[n])
+            .map(|&(_, n)| items[n].weight)
+            .sum(); // float: canonical-order(a run lists its items in ascending index)
+        if claim >= th || (cand == catch_all && claim > 0.0) {
+            for &(_, n) in run {
+                if !claimed[n] {
+                    claimed[n] = true;
+                    unclaimed -= 1;
+                }
+            }
             out.push((cand, claim));
         }
     }
     out.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
     out
+}
+
+/// Indices of the values of one dimension that survive the bound: all but
+/// those whose matched weight is under `th`.
+fn live(weights: impl Iterator<Item = f64>, th: f64) -> Vec<usize> {
+    weights
+        .enumerate()
+        .filter(|&(_, w)| w.partial_cmp(&th) != Some(Ordering::Less))
+        .map(|(v, _)| v)
+        .collect()
+}
+
+/// Fills `out` with the live value indices `hit` accepts.
+fn matching(out: &mut Vec<usize>, live: &[usize], hit: impl Fn(usize) -> bool) {
+    out.clear();
+    out.extend(live.iter().copied().filter(|&v| hit(v)));
+}
+
+/// Bits per value index in a packed candidate key.
+const IDX_BITS: u32 = 9;
+/// Values a dimension may keep, its wildcard included, so that every index
+/// fits in [`IDX_BITS`].
+const MAX_KEPT: usize = 1 << IDX_BITS;
+
+/// Packs a candidate's six value indices, the first most significant, so
+/// that keys order like the index tuples: 6 × 9 = 54 bits.
+fn pack(idx: [usize; 6]) -> u64 {
+    idx.iter()
+        .fold(0, |key, &i| (key << IDX_BITS) | (i % MAX_KEPT) as u64)
+}
+
+/// The six value indices of a packed key.
+fn unpack(mut key: u64) -> [usize; 6] {
+    let mut idx = [0; 6];
+    for slot in idx.iter_mut().rev() {
+        // A 9-bit index always fits a usize.
+        *slot = usize::try_from(key % (1 << IDX_BITS)).unwrap_or_default();
+        key >>= IDX_BITS;
+    }
+    idx
+}
+
+/// Depth of a port value on the static ladder exact → half → wildcard (an
+/// adaptive range sits directly under the wildcard).
+pub(crate) fn port_depth(r: &PortRange) -> usize {
+    if r.is_any() {
+        0
+    } else if r.is_exact() {
+        2
+    } else {
+        1
+    }
 }
 
 #[cfg(test)]

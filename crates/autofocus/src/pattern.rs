@@ -140,10 +140,11 @@ pub fn aggregate_patterns(
             }
         }
     }
+    // Scores here are positive and finite, where `total_cmp` is the
+    // ordinary order.
     out.sort_by(|a, b| {
         b.score
-            .partial_cmp(&a.score)
-            .expect("finite scores")
+            .total_cmp(&a.score)
             .then_with(|| (a.culprit, a.victim).cmp(&(b.culprit, b.victim)))
     });
     if cfg.adaptive_ports {
@@ -236,8 +237,7 @@ pub fn merge_adjacent_port_patterns(patterns: Vec<Pattern>, max_gap: u16) -> Vec
     }
     passthrough.sort_by(|a, b| {
         b.score
-            .partial_cmp(&a.score)
-            .expect("finite scores")
+            .total_cmp(&a.score)
             .then_with(|| (a.culprit, a.victim).cmp(&(b.culprit, b.victim)))
     });
     passthrough

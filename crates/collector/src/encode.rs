@@ -176,6 +176,22 @@ pub fn encode_nf_log(log: &NfLog) -> Result<Vec<u8>, EncodeError> {
     Ok(out)
 }
 
+/// Fewest bytes one rx record takes on the wire: a timestamp-delta varint
+/// and the batch length byte.
+const MIN_RX_BYTES: usize = 2;
+/// Fewest bytes one tx record takes: as rx, plus the 2-byte next hop.
+const MIN_TX_BYTES: usize = 4;
+/// Fewest bytes one flow record takes: a timestamp-delta varint, the IPID
+/// and the 13-byte five-tuple.
+const MIN_FLOW_BYTES: usize = 16;
+
+/// Capacity to reserve for a decoded count of `n` records, each at least
+/// `min` bytes long, with `buf[pos..]` left to read. The count is untrusted:
+/// a corrupt one must not reserve more records than the input could hold.
+fn record_capacity(n: usize, min: usize, buf: &[u8], pos: usize) -> usize {
+    n.min(buf.len().saturating_sub(pos) / min)
+}
+
 /// Decodes a log produced by [`encode_nf_log`].
 pub fn decode_nf_log(buf: &[u8]) -> Result<NfLog, EncodeError> {
     let mut pos = 0usize;
@@ -187,7 +203,7 @@ pub fn decode_nf_log(buf: &[u8]) -> Result<NfLog, EncodeError> {
     let nf = NfId(get_u16(buf, &mut pos)?);
 
     let n_rx = get_varint(buf, &mut pos)? as usize;
-    let mut rx = Vec::with_capacity(n_rx);
+    let mut rx = Vec::with_capacity(record_capacity(n_rx, MIN_RX_BYTES, buf, pos));
     let mut ts = 0u64;
     for _ in 0..n_rx {
         ts = ts.wrapping_add(get_varint(buf, &mut pos)?);
@@ -201,7 +217,7 @@ pub fn decode_nf_log(buf: &[u8]) -> Result<NfLog, EncodeError> {
     }
 
     let n_tx = get_varint(buf, &mut pos)? as usize;
-    let mut tx = Vec::with_capacity(n_tx);
+    let mut tx = Vec::with_capacity(record_capacity(n_tx, MIN_TX_BYTES, buf, pos));
     let mut ts = 0u64;
     for _ in 0..n_tx {
         ts = ts.wrapping_add(get_varint(buf, &mut pos)?);
@@ -219,7 +235,7 @@ pub fn decode_nf_log(buf: &[u8]) -> Result<NfLog, EncodeError> {
     }
 
     let n_fl = get_varint(buf, &mut pos)? as usize;
-    let mut flows = Vec::with_capacity(n_fl);
+    let mut flows = Vec::with_capacity(record_capacity(n_fl, MIN_FLOW_BYTES, buf, pos));
     let mut ts = 0u64;
     for _ in 0..n_fl {
         ts = ts.wrapping_add(get_varint(buf, &mut pos)?);
@@ -367,6 +383,18 @@ mod tests {
             assert_eq!(get_varint(&out, &mut pos).unwrap(), v);
             assert_eq!(pos, out.len());
         }
+    }
+
+    #[test]
+    fn huge_record_count_is_truncated_not_a_capacity_panic() {
+        // 13 bytes claiming 2^62 rx batches: the first batch runs out of
+        // input after its timestamp delta.
+        let mut buf = vec![VERSION];
+        put_u16(&mut buf, 3);
+        put_varint(&mut buf, 1 << 62);
+        buf.push(0);
+        assert_eq!(buf.len(), 13);
+        assert_eq!(decode_nf_log(&buf), Err(EncodeError::Truncated));
     }
 
     #[test]
