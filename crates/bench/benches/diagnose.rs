@@ -15,8 +15,9 @@
 //!   diagnoses must be bit-identical to a cache-disabled run.
 //!
 //! The JSON records `baseline_diagnose_ms` (cache off, one thread) next to
-//! the cached timings plus the cache hit rate, so the perf trajectory
-//! stays comparable across PRs.
+//! the cached timings plus the cache hit rate, all measured in the same
+//! process. Thread counts the host clamps to an already-listed worker
+//! count run identical code, so they get no row of their own.
 
 use microscope::{CacheStats, Diagnosis, DiagnosisConfig, LatencyThreshold, Microscope};
 use msc_trace::{
@@ -26,12 +27,6 @@ use nf_sim::{paper_nf_configs, Fault, SimConfig, SimOutput, Simulation};
 use nf_traffic::{CaidaLike, CaidaLikeConfig};
 use nf_types::{paper_topology, Topology, MILLIS};
 use std::time::Instant;
-
-/// Sequential reconstruction wall time recorded before the flat-index /
-/// hop-arena rewrite (same scenario, same machine class). Kept as a
-/// constant so the trajectory in `results/BENCH_diagnose.json` stays
-/// comparable now that the old implementation is gone.
-const BASELINE_RECONSTRUCT_MS: f64 = 454.019;
 
 struct Scenario {
     topology: Topology,
@@ -190,64 +185,35 @@ fn main() {
     }
     eprintln!(
         "reconstruct stages (1 thread): streams {:.1} ms, matching {:.1} ms, \
-         assemble {:.1} ms (pre-rewrite baseline {BASELINE_RECONSTRUCT_MS:.1} ms)",
+         assemble {:.1} ms",
         stage_s[0] * 1e3,
         stage_s[1] * 1e3,
         stage_s[2] * 1e3
     );
 
-    // Kernel-backed stage timings over the real run data: each of these
-    // stages spends its inner loops in one msc-kernels family — matching in
-    // the galloping run lookups, occupancy in the radix-permutation /
-    // prefix-sum / batched partition-point timeline construction, quantile
-    // in the latency selection over the trace population, walk in the
-    // epoch-stamped credit-walk accumulations. Timed on the sequential
-    // reconstruction so the numbers decompose `reconstruct_ms`/
-    // `diagnose_ms` at threads=1.
-    let dc1 = diagnosis_config(1, true);
-    let timelines1 = Timelines::build(&seq_recon);
-    let occupancy_kernel_s = time_best(reps, || Timelines::build(&seq_recon));
-    let quantile_kernel_s = time_best(reps, || microscope::find_victims(&seq_recon, &dc1.victims));
-    let engine1 = Microscope::new(sc.topology.clone(), sc.peak_rates.clone(), dc1);
-    let walk_kernel_s = time_best(reps, || engine1.diagnose_all_stats(&seq_recon, &timelines1));
-    let matching_kernel_s = stage_s[1];
-    eprintln!(
-        "kernel stages (1 thread): matching {:.1} ms, occupancy {:.1} ms, \
-         quantile {:.1} ms, walk {:.1} ms",
-        matching_kernel_s * 1e3,
-        occupancy_kernel_s * 1e3,
-        quantile_kernel_s * 1e3,
-        walk_kernel_s * 1e3
-    );
-
-    // Interleave the repetitions across thread counts (round-robin rather
-    // than per-config blocks) so a slow system phase — page cache pressure,
-    // a noisy neighbour on shared hardware — penalises every configuration
-    // equally instead of skewing whichever block it landed in. Every thread
-    // count diagnoses the *same* reconstruction (outputs were asserted
-    // identical above): per-count reconstructions differ only in allocation
-    // layout, which skewed the diagnose comparison by a few percent.
     // Requested counts that resolve to the same effective worker count
     // (the `effective_threads` clamp — on a 1-CPU host all of them) run
-    // byte-identical code, so they are measured once and share the
-    // timing: re-measuring identical code can only add timer noise, which
-    // previously made an equal configuration look ~2% slower than 1 thread.
-    let canonical: Vec<usize> = thread_counts
-        .iter()
-        .map(|&t| {
-            thread_counts
-                .iter()
-                .position(|&u| nf_types::effective_threads(u) == nf_types::effective_threads(t))
-                .expect("t itself always matches")
-        })
-        .collect();
-    let mut recon_best = vec![f64::INFINITY; thread_counts.len()];
-    let mut diag_best = vec![f64::INFINITY; thread_counts.len()];
+    // identical code: only the first of them is measured and reported.
+    // Repetitions interleave across counts (round-robin rather than
+    // per-config blocks) so a slow system phase penalises every
+    // configuration equally. Every count diagnoses the *same*
+    // reconstruction (outputs were asserted identical above):
+    // per-count reconstructions differ only in allocation layout, which
+    // skewed the diagnose comparison by a few percent.
+    let mut measured: Vec<usize> = Vec::new();
+    for &t in thread_counts {
+        let eff = nf_types::effective_threads(t);
+        if measured
+            .iter()
+            .all(|&u| nf_types::effective_threads(u) != eff)
+        {
+            measured.push(t);
+        }
+    }
+    let mut recon_best = vec![f64::INFINITY; measured.len()];
+    let mut diag_best = vec![f64::INFINITY; measured.len()];
     for _ in 0..reps {
-        for (i, &t) in thread_counts.iter().enumerate() {
-            if canonical[i] != i {
-                continue;
-            }
+        for (i, &t) in measured.iter().enumerate() {
             let t0 = Instant::now();
             std::hint::black_box(run_reconstruct(&sc, t));
             recon_best[i] = recon_best[i].min(t0.elapsed().as_secs_f64());
@@ -256,12 +222,8 @@ fn main() {
             diag_best[i] = diag_best[i].min(t0.elapsed().as_secs_f64());
         }
     }
-    for (i, &c) in canonical.iter().enumerate() {
-        recon_best[i] = recon_best[c];
-        diag_best[i] = diag_best[c];
-    }
     let mut rows = Vec::new();
-    for (i, &t) in thread_counts.iter().enumerate() {
+    for (i, &t) in measured.iter().enumerate() {
         eprintln!(
             "threads={t}: reconstruct {:.1} ms, diagnose {:.1} ms \
              (uncached baseline {:.1} ms)",
@@ -293,12 +255,8 @@ fn main() {
          \"hardware\": {{\"available_parallelism\": {cpus}}},\n  \
          \"identical_output\": true,\n  \
          \"cache_hit_rate\": {:.4},\n  \"baseline_diagnose_ms\": {:.3},\n  \
-         \"baseline_reconstruct_ms\": {BASELINE_RECONSTRUCT_MS:.3},\n  \
          \"reconstruct_stage_ms\": {{\"streams_build\": {:.3}, \"matching\": {:.3}, \
          \"assemble\": {:.3}}},\n  \
-         \"kernel_stage_ms\": {{\"matching_kernel_ms\": {:.3}, \
-         \"occupancy_kernel_ms\": {:.3}, \"quantile_kernel_ms\": {:.3}, \
-         \"walk_kernel_ms\": {:.3}}},\n  \
          \"results\": [\n{}\n  ]\n}}\n",
         sc.out.bundle.source_flows.len(),
         seq_diag.len(),
@@ -307,10 +265,6 @@ fn main() {
         stage_s[0] * 1e3,
         stage_s[1] * 1e3,
         stage_s[2] * 1e3,
-        matching_kernel_s * 1e3,
-        occupancy_kernel_s * 1e3,
-        quantile_kernel_s * 1e3,
-        walk_kernel_s * 1e3,
         json_rows.join(",\n")
     );
 

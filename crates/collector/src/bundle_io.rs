@@ -143,9 +143,15 @@ fn read_bundle_body<R: Read>(mut r: R) -> Result<TraceBundle, BundleIoError> {
     let n_logs = read_u32(&mut r)? as usize;
     let mut logs = Vec::with_capacity(n_logs.min(4096));
     for _ in 0..n_logs {
-        let len = read_u32(&mut r)? as usize;
-        let mut buf = vec![0u8; len];
-        r.read_exact(&mut buf).map_err(eof)?;
+        // `len` is untrusted: read through a `take` so the buffer grows
+        // only with bytes actually present instead of reserving up to
+        // 4 GiB before the first byte arrives.
+        let len = u64::from(read_u32(&mut r)?);
+        let mut buf = Vec::new();
+        r.by_ref().take(len).read_to_end(&mut buf).map_err(eof)?;
+        if buf.len() as u64 != len {
+            return Err(BundleIoError::Truncated);
+        }
         logs.push(decode_nf_log(&buf).map_err(BundleIoError::Log)?);
     }
     let n_src = read_u32(&mut r)? as usize;
@@ -552,6 +558,42 @@ mod tests {
             r.into_iter().any(|item| item.is_err()),
             "truncation must not pass silently"
         );
+    }
+
+    /// A reader over a byte slice that records the largest buffer it is
+    /// asked to fill.
+    struct LargestRead<'a> {
+        bytes: &'a [u8],
+        largest: usize,
+    }
+
+    impl Read for LargestRead<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.largest = self.largest.max(buf.len());
+            self.bytes.read(buf)
+        }
+    }
+
+    #[test]
+    fn oversized_log_length_is_truncation_not_an_allocation() {
+        // 14 bytes: magic, version, one NF log claiming 4 GiB, one byte.
+        let file = b"MSCB\x01\x01\x00\x00\x00\xff\xff\xff\xff\x01";
+        let mut r = LargestRead {
+            bytes: file,
+            largest: 0,
+        };
+        assert!(matches!(read_bundle(&mut r), Err(BundleIoError::Truncated)));
+        assert!(
+            r.largest <= 1 << 16,
+            "reader asked to fill {} bytes for a 14-byte file",
+            r.largest
+        );
+        // The chunked container shares the body reader.
+        let mut chunked = b"MSCS\x01".to_vec();
+        chunked.extend_from_slice(&7u64.to_le_bytes());
+        chunked.extend_from_slice(&file[5..]);
+        let mut reader = BundleChunkReader::new(&chunked[..]).unwrap();
+        assert!(matches!(reader.next_chunk(), Err(BundleIoError::Truncated)));
     }
 
     #[test]

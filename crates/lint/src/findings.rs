@@ -2,7 +2,9 @@
 
 use std::fmt;
 
-/// The fourteen project invariants `msc-lint` enforces.
+/// The project invariants `msc-lint` enforces. Ids are stable: R8 (the
+/// retired kernel-purity rule) stays unassigned rather than renumbering
+/// R9–R14.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RuleId {
     /// R1 — HashMap/HashSet iteration order must not reach output.
@@ -19,8 +21,6 @@ pub enum RuleId {
     OrderingJustification,
     /// R7 — atomics and `unsafe` only in manifest-registered modules.
     ConcurrencyManifest,
-    /// R8 — `crates/kernels` stays dependency-free and `forbid(unsafe_code)`.
-    KernelPurity,
     /// R9 — growable collections in streaming scope must be registered in
     /// `frontier-manifest.toml` with a verified eviction path.
     BoundedFrontier,
@@ -34,7 +34,7 @@ pub enum RuleId {
     /// transitively reach an allocating call without an
     /// `// alloc: amortized(reason)` annotation at the site.
     HotPathAlloc,
-    /// R13 — `msc-kernels` fns and registered hot fns must not reach
+    /// R13 — registered hot fns must not reach
     /// `panic!`/`unwrap`/`expect`/`unreachable!`.
     PanicFreeKernels,
     /// R14 — nondeterminism sources (unordered-map iteration, unjustified
@@ -46,7 +46,7 @@ pub enum RuleId {
 impl RuleId {
     /// Every rule, in id order — the source of truth for `--explain`
     /// coverage and iteration in tests.
-    pub const ALL: [RuleId; 14] = [
+    pub const ALL: [RuleId; 13] = [
         RuleId::OrderSensitivity,
         RuleId::TimeArithmetic,
         RuleId::LossyCast,
@@ -54,7 +54,6 @@ impl RuleId {
         RuleId::UnsafeAudit,
         RuleId::OrderingJustification,
         RuleId::ConcurrencyManifest,
-        RuleId::KernelPurity,
         RuleId::BoundedFrontier,
         RuleId::FloatDeterminism,
         RuleId::WireParity,
@@ -73,7 +72,6 @@ impl RuleId {
             RuleId::UnsafeAudit => "R5",
             RuleId::OrderingJustification => "R6",
             RuleId::ConcurrencyManifest => "R7",
-            RuleId::KernelPurity => "R8",
             RuleId::BoundedFrontier => "R9",
             RuleId::FloatDeterminism => "R10",
             RuleId::WireParity => "R11",
@@ -100,7 +98,6 @@ impl RuleId {
             RuleId::UnsafeAudit => "unsafe-audit",
             RuleId::OrderingJustification => "ordering-justification",
             RuleId::ConcurrencyManifest => "concurrency-manifest",
-            RuleId::KernelPurity => "kernel-purity",
             RuleId::BoundedFrontier => "bounded-frontier",
             RuleId::FloatDeterminism => "float-determinism",
             RuleId::WireParity => "wire-parity",
@@ -123,12 +120,11 @@ impl RuleId {
             // the frontier manifest, R10 by `// float: canonical-order`,
             // R12 by the hotpath manifest plus `// alloc: amortized(..)`
             // at the allocation site, R14 by the R1/R10 source-site
-            // suppressions — and R8/R13 have no escape hatch at all.
+            // suppressions — and R13 has no escape hatch at all.
             RuleId::PanicSurface
             | RuleId::UnsafeAudit
             | RuleId::OrderingJustification
             | RuleId::ConcurrencyManifest
-            | RuleId::KernelPurity
             | RuleId::BoundedFrontier
             | RuleId::FloatDeterminism
             | RuleId::HotPathAlloc
@@ -189,12 +185,6 @@ impl RuleId {
                  Stale entries (registered modules with no concurrency use) \
                  gate too. Regenerate with `--write-manifest`."
             }
-            RuleId::KernelPurity => {
-                "R8 kernel-purity: crates/kernels must stay dependency-free \
-                 (dev-deps exempt) and `#![forbid(unsafe_code)]`, so the \
-                 branchless hot-path kernels stay portable and auditable. \
-                 No suppression."
-            }
             RuleId::BoundedFrontier => {
                 "R9 bounded-frontier: every growable collection field \
                  (Vec/VecDeque/HashMap/HashSet/BTreeMap/BTreeSet/BinaryHeap) \
@@ -231,7 +221,7 @@ impl RuleId {
             RuleId::HotPathAlloc => {
                 "R12 hot-path-alloc: functions carrying a `// hot:` marker \
                  and registered in hotpath-manifest.toml (the matcher, \
-                 timeline, credit-walk, kernel, and windowed-frontier inner \
+                 timeline, credit-walk, and windowed-frontier inner \
                  loops) must not transitively reach an allocating call — \
                  `.push(`/`.insert(`/`.collect(`/`.to_vec(`/`.clone(`/\
                  `format!`/`Box::new` — through the workspace call graph. \
@@ -243,8 +233,8 @@ impl RuleId {
                  Scaffold entries with `--write-hotpath`."
             }
             RuleId::PanicFreeKernels => {
-                "R13 panic-free-kernels: every fn in crates/kernels and \
-                 every hot fn registered in hotpath-manifest.toml must not \
+                "R13 panic-free-kernels: every hot fn registered in \
+                 hotpath-manifest.toml must not \
                  transitively reach a panicking call — `.unwrap(`/\
                  `.expect(`/`panic!`/`unreachable!`/`todo!`/\
                  `unimplemented!` — through the workspace call graph \

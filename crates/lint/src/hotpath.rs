@@ -1,7 +1,7 @@
 //! The R12/R13 hotpath manifest: `hotpath-manifest.toml`.
 //!
 //! The workspace's hot inner loops — the matcher candidate scans, the
-//! timeline interval queries, the credit walk, the kernels, and the
+//! timeline interval queries and construction, the credit walk, and the
 //! windowed-frontier incremental path — carry a `// hot:` marker comment on
 //! the fn and are registered here, each with a one-line reason. Registration
 //! is two-sided, like R7/R9: a marked fn missing from the manifest is a
@@ -147,8 +147,10 @@ mod tests {
             "trace::matching::EdgeStream::candidate".into(),
             "matcher inner loop".into(),
         );
-        m.entries
-            .insert("kernels::reduce::sum_u64".into(), "query kernel".into());
+        m.entries.insert(
+            "trace::matching::gallop_lower_bound_u32".into(),
+            "run probe".into(),
+        );
         let parsed = HotpathManifest::parse(&m.render()).unwrap();
         assert_eq!(parsed, m);
     }

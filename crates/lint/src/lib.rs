@@ -19,8 +19,8 @@
 //!   `// ordering:` comment saying why no synchronization is needed.
 //! * **R7 concurrency manifest** — atomics and `unsafe` only in modules
 //!   registered (with a reason) in `concurrency-manifest.toml`.
-//! * **R8 kernel purity** — `crates/kernels` stays dependency-free and
-//!   `#![forbid(unsafe_code)]`.
+//! * R8 is retired (it policed a kernel crate that no longer exists); the
+//!   later ids keep their numbers.
 //! * **R9 bounded frontier** — growable collections on streaming-scope
 //!   structs must be registered in `frontier-manifest.toml` with a
 //!   verified eviction path (or a `fixed`/`retained` claim).
@@ -31,8 +31,8 @@
 //! * **R12 hot-path alloc** — fns registered in `hotpath-manifest.toml`
 //!   must not transitively reach an allocating call through the workspace
 //!   call graph (waived per-site with `// alloc: amortized(reason)`).
-//! * **R13 panic-free kernels** — `msc-kernels` and registered hot fns
-//!   must not reach `panic!`/`unwrap`/`expect`/`unreachable!`.
+//! * **R13 panic-free kernels** — registered hot fns must not reach
+//!   `panic!`/`unwrap`/`expect`/`unreachable!`.
 //! * **R14 determinism taint** — nondeterminism sources must not flow
 //!   through the call graph into wire writers or report builders.
 //!

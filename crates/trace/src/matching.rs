@@ -186,13 +186,15 @@ impl EdgeStream {
             }
         }
         // Counting sort by IPID (stable, so runs stay position-ascending).
-        // The histogram→offsets step is the chunked prefix-sum kernel: 64K
-        // lanes per edge add up across the per-NF edge builds.
         let mut run_start: Box<[u32; IPID_SPACE + 1]> = boxed_zeroed();
         for &id in &ipids {
             run_start[id as usize + 1] += 1;
         }
-        msc_kernels::inclusive_prefix_sum_u32_in_place(&mut run_start[..]);
+        let mut offset = 0u32;
+        for s in run_start.iter_mut() {
+            offset += *s;
+            *s = offset;
+        }
         let mut heads: Box<[u32; IPID_SPACE]> = boxed_zeroed();
         heads.copy_from_slice(&run_start[..IPID_SPACE]);
         let mut ipid_pos = vec![0u32; n];
@@ -257,11 +259,38 @@ impl EdgeStream {
     ) -> Option<(usize, Nanos)> {
         let lo = self.ipid_cursor[ipid as usize] as usize;
         let run = &self.ipid_pos[lo..self.run_start[ipid as usize + 1] as usize];
-        let i = msc_kernels::gallop_lower_bound_u32(run, cursor as u32);
+        let i = gallop_lower_bound_u32(run, cursor as u32);
         let &pos = run.get(i)?;
         let sent = self.run_ts[lo + i];
         window_ok(sent, read_ts, cfg).then_some((pos as usize, sent))
     }
+}
+
+/// Galloping lower bound: first index with `xs[i] >= key`, probing at
+/// exponentially growing offsets from the front before settling the
+/// boundary with `partition_point`.
+///
+/// Equivalent to `xs.partition_point(|&x| x < key)`, but tuned for queries
+/// whose answer sits near the start of the slice — the matcher's
+/// speculative run-tail lookups, where the committed per-IPID hint is
+/// rarely more than a playout's worth of entries stale. Those resolve in
+/// 1–3 probes instead of log₂(len) (measured 1.6–3.7× faster than the
+/// plain binary search on such runs).
+// hot: matcher galloping cursor probe
+fn gallop_lower_bound_u32(xs: &[u32], key: u32) -> usize {
+    if xs.first().is_none_or(|&x| x >= key) {
+        return 0;
+    }
+    // xs[0] < key: gallop to an exclusive probe bound past the boundary.
+    let mut prev = 0usize;
+    let mut bound = 1usize;
+    while bound < xs.len() && xs[bound] < key {
+        prev = bound;
+        bound *= 2;
+    }
+    let hi = bound.min(xs.len());
+    // Boundary is in (prev, hi].
+    prev + 1 + xs[prev + 1..hi].partition_point(|&x| x < key)
 }
 
 /// Timing-channel check on a candidate's send timestamp.
@@ -452,10 +481,10 @@ fn finish(
     // upstream build order, so stats accumulate exactly as before.
     let mut edge_outcome: Vec<Vec<MatchOutcome>> = Vec::with_capacity(edges.len());
     for e in edges {
-        // Count the drops with a flat mask reduction over the consumed
-        // prefix instead of a counter carried through the classify map —
-        // same predicate, exact integer count, so stats are unchanged.
-        stats.inferred_drops += msc_kernels::count_eq_u32(&e.matched[..e.cursor], UNMATCHED) as u64;
+        stats.inferred_drops += e.matched[..e.cursor]
+            .iter()
+            .filter(|&&m| m == UNMATCHED)
+            .count() as u64;
         let outcomes: Vec<MatchOutcome> = e
             .matched
             .iter()
@@ -630,5 +659,54 @@ mod tests {
         let m = match_downstream(&s, &t, e1, &MatchConfig::default());
         assert_eq!(m.rx_origin[0].unwrap().0, NodeId::Source);
         assert_eq!(m.stats.matched, 1);
+    }
+}
+
+/// The matcher's galloping lower bound against the `std` binary search it
+/// stands in for: random sorted runs plus empty, single-element, all-equal
+/// and long-run shapes, every key inside, between and beyond the run.
+#[cfg(test)]
+mod std_equivalence {
+    use super::gallop_lower_bound_u32;
+    use proptest::prelude::*;
+
+    fn lower_bound(xs: &[u32], key: u32) -> usize {
+        xs.partition_point(|&x| x < key)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn gallop_is_the_std_lower_bound(
+            v in proptest::collection::vec(0u32..500, 0..80),
+            key in 0u32..520,
+        ) {
+            let mut xs = v;
+            xs.sort_unstable();
+            prop_assert_eq!(gallop_lower_bound_u32(&xs, key), lower_bound(&xs, key));
+        }
+    }
+
+    #[test]
+    fn edge_shapes_match_std() {
+        for len in [0usize, 1, 2, 3, 7, 8, 9, 16, 17, 33, 1000] {
+            let ramp: Vec<u32> = (0..len as u32).map(|i| 2 * i).collect();
+            for fill in [0u32, 7, u32::MAX] {
+                let flat = vec![fill; len];
+                for xs in [&flat, &ramp] {
+                    for key in [0u32, 1, 2, fill, len as u32, 2 * len as u32, u32::MAX] {
+                        assert_eq!(
+                            gallop_lower_bound_u32(xs, key),
+                            lower_bound(xs, key),
+                            "len={len} key={key}"
+                        );
+                    }
+                }
+            }
+            for key in 0..=2 * len as u32 + 1 {
+                assert_eq!(gallop_lower_bound_u32(&ramp, key), lower_bound(&ramp, key));
+            }
+        }
     }
 }

@@ -80,7 +80,7 @@ pub struct NfTimeline {
     pub arrivals: Vec<Arrival>,
     /// Read batches in time order.
     pub reads: Vec<RxBatchInfo>,
-    /// Flat copy of `arrivals[i].ts`: the branchless search kernels probe
+    /// Flat copy of `arrivals[i].ts`: the `partition_point` searches probe
     /// an 8-byte-stride column instead of the 32-byte `Arrival` records.
     arrival_ts: Vec<Nanos>,
     /// Flat copy of `reads[i].ts`, for the same reason.
@@ -97,6 +97,111 @@ pub struct NfTimeline {
     occ_after_read: Vec<u64>,
 }
 
+/// Fills `out` with `0..keys.len()` permuted so that
+/// `keys[out[0]] <= keys[out[1]] <= ...`, ties keeping their original
+/// order — exactly the permutation a stable sort by key produces.
+///
+/// LSD radix, low digit first: each pass is a stable counting scatter, so
+/// after the pass for the highest non-zero digit of the maximum key, the
+/// permutation equals the stable comparison sort's. Passes where every key
+/// shares the digit would scatter the identity and are skipped (timestamps
+/// in one run share their high bytes, so a nanosecond-clock column costs a
+/// few passes, not eight).
+///
+/// Digit width adapts to the input: 8-bit digits keep the count table in
+/// cache for small columns; 16-bit digits halve the passes once the key
+/// column dwarfs the 64Ki-entry table. Stability makes the permutation
+/// identical either way. Measured 1.8–1.9× faster than `sort_by_key` on an
+/// index permutation at 64Ki keys and up.
+///
+/// # Panics
+/// Panics if `keys.len()` exceeds `u32::MAX` (indices are `u32`).
+// hot: timeline arrival-order radix sort
+fn sort_indices_by_u64(keys: &[u64], out: &mut Vec<u32>) {
+    let n = keys.len();
+    assert!(
+        u32::try_from(n).is_ok(),
+        "index sort limited to u32 indices"
+    );
+    out.clear();
+    // lint: lossy-cast-ok(guarded by the try_from assert above)
+    out.extend(0..n as u32);
+    if n <= 1 {
+        return;
+    }
+    let max = keys.iter().fold(0u64, |m, &k| if k > m { k } else { m });
+    if n >= 32_768 {
+        radix_passes::<16>(keys, out, max);
+    } else {
+        radix_passes::<8>(keys, out, max);
+    }
+}
+
+/// The counting-scatter passes over `BITS`-wide digits. `counts` doubles
+/// as the running start offsets during the scatter.
+fn radix_passes<const BITS: u32>(keys: &[u64], out: &mut Vec<u32>, max: u64) {
+    let n = keys.len();
+    let mask = (1u64 << BITS) - 1;
+    let mut buf = vec![0u32; n];
+    let mut counts = vec![0u32; 1 << BITS];
+    let mut shift = 0u32;
+    while shift < 64 && (max >> shift) != 0 {
+        counts.fill(0);
+        for &i in out.iter() {
+            counts[((keys[i as usize] >> shift) & mask) as usize] += 1;
+        }
+        // A digit held by every key scatters the identity: skip the pass.
+        if counts.iter().any(|&c| c as usize == n) {
+            shift += BITS;
+            continue;
+        }
+        let mut sum = 0u32;
+        for c in counts.iter_mut() {
+            let v = *c;
+            *c = sum;
+            sum += v;
+        }
+        for &i in out.iter() {
+            let d = ((keys[i as usize] >> shift) & mask) as usize;
+            buf[counts[d] as usize] = i;
+            counts[d] += 1;
+        }
+        std::mem::swap(out, &mut buf);
+        shift += BITS;
+    }
+}
+
+/// One `partition_point(x <= key)` per key, for *sorted ascending* keys:
+/// a single forward gallop over `xs` answers every query, amortizing the
+/// bounds checks of per-key binary searches. Results are `u32` indexes
+/// (`xs.len()` must fit; the pipeline's per-NF arrays are u32-indexed).
+/// Measured 4–4.8× faster than per-key `partition_point` at the
+/// reads-per-arrival density of a timeline's occupancy column.
+// hot: batched interval-bound search
+fn batch_partition_point_leq_u64_sorted(xs: &[u64], keys: &[u64], out: &mut Vec<u32>) {
+    const LANES: usize = 8;
+    assert!(
+        u32::try_from(xs.len()).is_ok(),
+        "array must be u32-indexable"
+    );
+    debug_assert!(keys.windows(2).all(|w| w[0] <= w[1]), "keys must be sorted");
+    out.clear();
+    out.reserve(keys.len());
+    let mut i = 0usize;
+    for &k in keys {
+        // Gallop a whole lane-chunk at a time (one compare per 8 slots),
+        // then settle the boundary scalar-wise.
+        while i + LANES <= xs.len() && xs[i + LANES - 1] <= k {
+            i += LANES;
+        }
+        while i < xs.len() && xs[i] <= k {
+            i += 1;
+        }
+        // alloc: amortized(capacity reserved up front for keys.len())
+        out.push(i as u32);
+    }
+}
+
 impl NfTimeline {
     fn new(nf: NfId, arrivals: &[Arrival], reads: Vec<RxBatchInfo>) -> Self {
         // Time-order via a stable radix permutation of the timestamps: the
@@ -105,22 +210,24 @@ impl NfTimeline {
         // gathered once at the end.
         let ts_keys: Vec<Nanos> = arrivals.iter().map(|a| a.ts).collect();
         let mut order = Vec::new();
-        msc_kernels::sort_indices_by_u64(&ts_keys, &mut order);
+        sort_indices_by_u64(&ts_keys, &mut order);
         let arrivals: Vec<Arrival> = order.iter().map(|&i| arrivals[i as usize]).collect();
-        // Flat timestamp and size/flag columns first, then the prefix-sum
-        // kernels over them. All values are exact integers, so the chunked
-        // kernels produce the same prefix arrays the sequential loops did.
         let arrival_ts: Vec<Nanos> = order.iter().map(|&i| ts_keys[i as usize]).collect();
         let read_ts: Vec<Nanos> = reads.iter().map(|r| r.ts).collect();
-        let sizes: Vec<u32> = reads.iter().map(|r| r.size as u32).collect();
-        let mut read_prefix = Vec::new();
-        msc_kernels::prefix_sum_u64_from_u32(&sizes, &mut read_prefix);
-        let queued_flags: Vec<u32> = arrivals
-            .iter()
-            .map(|a| u32::from(a.kind == ArrivalKind::Queued))
-            .collect();
-        let mut queued_prefix = Vec::new();
-        msc_kernels::prefix_sum_u64_from_u32(&queued_flags, &mut queued_prefix);
+        let mut read_prefix = Vec::with_capacity(reads.len() + 1);
+        let mut read_total = 0u64;
+        read_prefix.push(read_total);
+        for r in &reads {
+            read_total += r.size as u64;
+            read_prefix.push(read_total);
+        }
+        let mut queued_prefix = Vec::with_capacity(arrivals.len() + 1);
+        let mut queued_total = 0u64;
+        queued_prefix.push(queued_total);
+        for a in &arrivals {
+            queued_total += u64::from(a.kind == ArrivalKind::Queued);
+            queued_prefix.push(queued_total);
+        }
         let mut last_drained = Vec::with_capacity(reads.len());
         let mut last = None;
         for (i, r) in reads.iter().enumerate() {
@@ -133,7 +240,7 @@ impl NfTimeline {
         // (read timestamps are sorted, so a single gallop answers every
         // query), then an elementwise saturating difference.
         let mut arr_upto = Vec::new();
-        msc_kernels::batch_partition_point_leq_u64_sorted(&arrival_ts, &read_ts, &mut arr_upto);
+        batch_partition_point_leq_u64_sorted(&arrival_ts, &read_ts, &mut arr_upto);
         let occ_after_read: Vec<u64> = arr_upto
             .iter()
             .enumerate()
@@ -155,8 +262,8 @@ impl NfTimeline {
     /// Packets read in batches whose timestamp falls in `[a, b]`.
     // hot: per-anomaly interval count
     pub fn processed_in(&self, a: Nanos, b: Nanos) -> u64 {
-        let lo = msc_kernels::partition_point_lt_u64(&self.read_ts, a);
-        let hi = msc_kernels::partition_point_leq_u64(&self.read_ts, b);
+        let lo = self.read_ts.partition_point(|&x| x < a);
+        let hi = self.read_ts.partition_point(|&x| x <= b);
         self.read_prefix[hi] - self.read_prefix[lo]
     }
 
@@ -176,8 +283,8 @@ impl NfTimeline {
 
     // hot: interval-query bound pair
     fn arrival_range(&self, a: Nanos, b: Nanos) -> (usize, usize) {
-        let lo = msc_kernels::partition_point_lt_u64(&self.arrival_ts, a);
-        let hi = msc_kernels::partition_point_leq_u64(&self.arrival_ts, b);
+        let lo = self.arrival_ts.partition_point(|&x| x < a);
+        let hi = self.arrival_ts.partition_point(|&x| x <= b);
         (lo, hi)
     }
 
@@ -207,14 +314,15 @@ impl NfTimeline {
         }
         // Walk reads backwards from t over the precomputed occupancy index
         // and stop at the first point the queue was at or below the
-        // threshold (a chunked backward scan: usually it stops within a few
-        // reads — queues dip between bursts — but saturated queues scan
-        // far, and the kernel covers 8 reads per compare).
-        let hi = msc_kernels::partition_point_leq_u64(&self.read_ts, t);
-        let start_ts = msc_kernels::rfind_last_leq_u64(&self.occ_after_read[..hi], threshold)
+        // threshold (usually within a few reads — queues dip between
+        // bursts — though saturated queues scan far).
+        let hi = self.read_ts.partition_point(|&x| x <= t);
+        let start_ts = self.occ_after_read[..hi]
+            .iter()
+            .rposition(|&occ| occ <= threshold)
             .map(|i| self.read_ts[i]);
         let start_idx = match start_ts {
-            Some(ts) => msc_kernels::partition_point_leq_u64(&self.arrival_ts, ts),
+            Some(ts) => self.arrival_ts.partition_point(|&x| x <= ts),
             None => 0,
         };
         self.period_from(start_idx, t)
@@ -222,7 +330,7 @@ impl NfTimeline {
 
     fn queuing_period_zero(&self, t: Nanos) -> QueuingPeriod {
         // Last drained read at or before t.
-        let hi = msc_kernels::partition_point_leq_u64(&self.read_ts, t);
+        let hi = self.read_ts.partition_point(|&x| x <= t);
         let drained_ts = if hi == 0 {
             None
         } else {
@@ -231,7 +339,7 @@ impl NfTimeline {
         // First queued arrival strictly after the drain (or the very first
         // arrival when the queue has been building since the start).
         let start_idx = match drained_ts {
-            Some(dts) => msc_kernels::partition_point_leq_u64(&self.arrival_ts, dts),
+            Some(dts) => self.arrival_ts.partition_point(|&x| x <= dts),
             None => 0,
         };
         self.period_from(start_idx, t)
@@ -245,7 +353,7 @@ impl NfTimeline {
         // queued prefix sums: the first queued arrival at or after
         // `start_idx` is the last index still holding the same prefix count.
         let base = self.queued_prefix[start_idx.min(self.arrivals.len())];
-        let s = msc_kernels::partition_point_leq_u64(&self.queued_prefix, base) - 1;
+        let s = self.queued_prefix.partition_point(|&x| x <= base) - 1;
         if s >= self.arrivals.len() || self.arrivals[s].ts > t {
             // Queue empty at arrival: degenerate period.
             return QueuingPeriod {
@@ -256,7 +364,7 @@ impl NfTimeline {
             };
         }
         let t0 = self.arrivals[s].ts;
-        let end_idx = msc_kernels::partition_point_leq_u64(&self.arrival_ts, t);
+        let end_idx = self.arrival_ts.partition_point(|&x| x <= t);
         let n_arrived = self.queued_prefix[end_idx] - self.queued_prefix[s];
         let n_processed = self.processed_in(t0, t);
         QueuingPeriod {
@@ -391,14 +499,16 @@ impl NfTimelineBuilder {
                 self.queued_prefix.push(q);
                 self.arrival_ts.push(a.ts);
             }
-            let invalid = msc_kernels::partition_point_lt_u64(&self.read_ts, min_ts);
+            let invalid = self.read_ts.partition_point(|&x| x < min_ts);
             self.occ_from = self.occ_from.min(invalid);
         }
         if self.occ_from < self.reads.len() {
             self.occ_after_read.truncate(self.occ_from);
             let mut ai = match self.occ_from {
                 0 => 0,
-                i => msc_kernels::partition_point_leq_u64(&self.arrival_ts, self.read_ts[i - 1]),
+                i => self
+                    .arrival_ts
+                    .partition_point(|&x| x <= self.read_ts[i - 1]),
             };
             for i in self.occ_from..self.reads.len() {
                 while ai < self.arrivals.len() && self.arrivals[ai].ts <= self.reads[i].ts {
@@ -816,5 +926,147 @@ mod tests {
         let qp = tl.queuing_period(190);
         // Arrived: 150..190 = 5; processed at 175: 2. Queue = 3.
         assert_eq!(qp.queue_len(), 3);
+    }
+}
+
+/// The timeline's two hand-rolled primitives against the `std` calls they
+/// replace, over random inputs plus the shapes their loops are most likely
+/// to get wrong: empty and single-element inputs, lengths that leave an
+/// odd remainder after the 8-slot gallop, all-equal keys, both sides of
+/// the radix sort's 8/16-bit digit switch, and sparse queries over a long
+/// column. Every comparison is exact equality.
+#[cfg(test)]
+mod std_equivalence {
+    use super::{batch_partition_point_leq_u64_sorted, sort_indices_by_u64};
+    use proptest::prelude::*;
+
+    /// Lengths straddling the 8-slot gallop step, plus empty and single.
+    const EDGE_LENS: [usize; 10] = [0, 1, 2, 7, 8, 9, 15, 16, 17, 33];
+
+    fn stable_order(keys: &[u64]) -> Vec<u32> {
+        let mut order: Vec<u32> = (0..keys.len() as u32).collect();
+        order.sort_by_key(|&i| keys[i as usize]);
+        order
+    }
+
+    fn radix_order(keys: &[u64]) -> Vec<u32> {
+        let mut out = vec![7u32; 3];
+        sort_indices_by_u64(keys, &mut out);
+        out
+    }
+
+    fn per_key(xs: &[u64], keys: &[u64]) -> Vec<u32> {
+        keys.iter()
+            .map(|&k| xs.partition_point(|&x| x <= k) as u32)
+            .collect()
+    }
+
+    fn batched(xs: &[u64], keys: &[u64]) -> Vec<u32> {
+        let mut out = vec![99u32];
+        batch_partition_point_leq_u64_sorted(xs, keys, &mut out);
+        out
+    }
+
+    fn sorted(mut v: Vec<u64>) -> Vec<u64> {
+        v.sort_unstable();
+        v
+    }
+
+    /// Timestamp-shaped keys: dense low range, duplicate-heavy.
+    fn lcg_keys(n: usize, seed: u64, range: u64) -> Vec<u64> {
+        let mut state = seed;
+        (0..n)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (state >> 16) % range
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        // Duplicate-heavy keys exercise stability: ties keep input order.
+        #[test]
+        fn sort_indices_is_the_stable_sort(v in proptest::collection::vec(0u64..20, 0..120)) {
+            prop_assert_eq!(radix_order(&v), stable_order(&v));
+        }
+
+        // Wide keys: every byte of the u64 participates, including skipped
+        // uniform-digit passes.
+        #[test]
+        fn sort_indices_is_the_stable_sort_wide(v in proptest::collection::vec(any::<u64>(), 0..80)) {
+            prop_assert_eq!(radix_order(&v), stable_order(&v));
+        }
+
+        #[test]
+        fn batch_partition_point_is_per_key_partition_point(
+            v in proptest::collection::vec(0u64..300, 0..60),
+            q in proptest::collection::vec(0u64..320, 0..40),
+        ) {
+            let xs = sorted(v);
+            let keys = sorted(q);
+            prop_assert_eq!(batched(&xs, &keys), per_key(&xs, &keys));
+        }
+    }
+
+    #[test]
+    fn edge_shapes_match_std() {
+        for &len in &EDGE_LENS {
+            let ramp: Vec<u64> = (0..len as u64).collect();
+            for fill in [0u64, 7, u64::MAX] {
+                let flat = vec![fill; len];
+                // All-equal keys: the stable permutation is the identity.
+                assert_eq!(
+                    radix_order(&flat),
+                    (0..len as u32).collect::<Vec<u32>>(),
+                    "sort len={len} fill={fill}"
+                );
+                for xs in [&flat, &ramp] {
+                    let keys = sorted(vec![0, 1, fill, len as u64, u64::MAX]);
+                    assert_eq!(batched(xs, &keys), per_key(xs, &keys), "batch len={len}");
+                }
+            }
+            assert_eq!(
+                radix_order(&ramp),
+                stable_order(&ramp),
+                "sort ramp len={len}"
+            );
+        }
+    }
+
+    /// The 16-bit-digit path engages at 32Ki keys — too large for
+    /// proptest, so pin both sides of the switch deterministically.
+    #[test]
+    fn sort_indices_both_digit_widths_match_std() {
+        for n in [32_767, 32_768, 40_000] {
+            let keys = lcg_keys(n, 0x5eed_cafe_u64 ^ n as u64, 120_000_000);
+            assert_eq!(radix_order(&keys), stable_order(&keys), "n={n}");
+            let few = lcg_keys(n, 0xfeed_u64 ^ n as u64, 3);
+            assert_eq!(radix_order(&few), stable_order(&few), "n={n} duplicates");
+            let same = vec![1u64 << 40; n];
+            assert_eq!(radix_order(&same), stable_order(&same), "n={n} all equal");
+        }
+    }
+
+    /// Sparse queries over a 1M-element column: the forward walk is slow
+    /// here (one step per 8 slots between queries) but must stay exact.
+    #[test]
+    fn batch_partition_point_sparse_keys_match_std() {
+        let xs = sorted(lcg_keys(1 << 20, 0xabcd, 1 << 40));
+        let keys = sorted(lcg_keys(37, 0x1234, 1 << 40));
+        assert_eq!(batched(&xs, &keys), per_key(&xs, &keys));
+        let ends = [0, xs[0], xs[xs.len() / 2], xs[xs.len() - 1], u64::MAX];
+        assert_eq!(batched(&xs, &ends), per_key(&xs, &ends));
+    }
+
+    #[test]
+    fn batch_partition_point_empty_inputs() {
+        assert!(batched(&[], &[]).is_empty());
+        assert_eq!(batched(&[], &[1, 2, 3]), vec![0, 0, 0]);
+        assert!(batched(&[5, 6, 7], &[]).is_empty());
+        assert_eq!(batched(&[5], &[4, 5, 6]), vec![0, 1, 1]);
     }
 }
