@@ -42,4 +42,4 @@ pub use skew::{
 };
 pub use streams::{EdgeStreams, PacketRef, RxBatchInfo, RxEntry, SourceEntry, TxEntry};
 pub use timeline::{Arrival, ArrivalKind, NfTimeline, NfTimelineBuilder, QueuingPeriod, Timelines};
-pub use windowed::{StreamError, WindowedReconstructor};
+pub use windowed::{Admitted, StreamError, WindowedReconstructor};

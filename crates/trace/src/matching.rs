@@ -312,8 +312,93 @@ struct MatchScratch {
     cursors: Vec<usize>,
 }
 
+/// One upstream edge as the ambiguity playout sees it. Implemented by the
+/// offline [`EdgeStream`] and by the windowed engine's edge, so both
+/// engines break collisions with the one rule in [`choose_candidate`].
+pub(crate) trait PlayoutEdge {
+    /// The committed cursor: every position before it is decided.
+    fn cursor(&self) -> usize;
+    /// The first undecided position with `ipid` at or past a speculative
+    /// `cursor`, window-checked against `read_ts`, with its send timestamp.
+    fn probe(
+        &self,
+        cursor: usize,
+        ipid: Ipid,
+        read_ts: Nanos,
+        cfg: &MatchConfig,
+    ) -> Option<(usize, Nanos)>;
+}
+
+impl PlayoutEdge for EdgeStream {
+    fn cursor(&self) -> usize {
+        self.cursor
+    }
+
+    fn probe(
+        &self,
+        cursor: usize,
+        ipid: Ipid,
+        read_ts: Nanos,
+        cfg: &MatchConfig,
+    ) -> Option<(usize, Nanos)> {
+        self.candidate_from(cursor, ipid, read_ts, cfg)
+    }
+}
+
+/// Breaks a collision between two or more `(edge, position)` candidates
+/// for one read, sorted earliest send first: the earliest send is the
+/// FIFO-plausible default, which a bounded lookahead playout over the
+/// reads that follow (`tail`, as `(ipid, read ts)`) may overrule (Fig. 9).
+/// The candidate whose playout aligns strictly more reads wins; ties keep
+/// the earlier candidate. `cursors` is a reusable buffer.
+pub(crate) fn choose_candidate<E, T>(
+    edges: &[E],
+    cands: &[(usize, usize)],
+    cursors: &mut Vec<usize>,
+    tail: &T,
+    cfg: &MatchConfig,
+) -> (usize, usize)
+where
+    E: PlayoutEdge,
+    T: ExactSizeIterator<Item = (Ipid, Nanos)> + Clone,
+{
+    let default = cands[0];
+    if !cfg.use_order_channel {
+        // Ablated: no lookahead, timing only.
+        return default;
+    }
+    let mut best = default;
+    let mut best_score = None;
+    // Playout scores never exceed the reads actually available, so a
+    // candidate that aligns every one of them cannot be strictly beaten —
+    // stop playing the rest (they could at most tie, which never flips the
+    // selection).
+    let max_achievable = cfg.lookahead.min(tail.len());
+    for &(e_idx, pos) in cands {
+        if best_score == Some(max_achievable) {
+            break;
+        }
+        cursors.clear();
+        cursors.extend(edges.iter().map(E::cursor));
+        cursors[e_idx] = pos + 1;
+        let s = lookahead_score(
+            edges,
+            cursors,
+            tail.clone(),
+            cfg.lookahead,
+            cfg,
+            best_score.unwrap_or(0),
+        );
+        if best_score.is_none_or(|b| s > b) {
+            best_score = Some(s);
+            best = (e_idx, pos);
+        }
+    }
+    best
+}
+
 /// Greedy alignment score used to break collisions: with the given per-edge
-/// cursors, how many of the next `depth` rx entries match greedily
+/// cursors, how many of the next `depth` reads of `tail` match greedily
 /// (earliest-send candidate, no nested ambiguity handling)?
 ///
 /// `beat` is the branch-and-bound floor: once even a perfect tail
@@ -324,26 +409,24 @@ struct MatchScratch {
 /// candidate (and every downstream output) is identical to the unpruned
 /// walk.
 // hot: ambiguity-playout inner walk
-fn lookahead_score(
-    edges: &[EdgeStream],
+fn lookahead_score<E: PlayoutEdge>(
+    edges: &[E],
     cursors: &mut [usize],
-    rx: &[crate::streams::RxEntry],
-    rx_from: usize,
+    tail: impl ExactSizeIterator<Item = (Ipid, Nanos)>,
     depth: usize,
     cfg: &MatchConfig,
     beat: usize,
 ) -> usize {
     let mut score = 0;
-    let take = depth.min(rx.len() - rx_from);
-    let mut remaining = take;
-    for r in rx[rx_from..].iter().take(depth) {
+    let mut remaining = depth.min(tail.len());
+    for (ipid, read_ts) in tail.take(depth) {
         if score + remaining <= beat {
             return score;
         }
         remaining -= 1;
         let mut best: Option<(Nanos, usize, usize)> = None; // (ts, edge, pos)
         for (e_idx, e) in edges.iter().enumerate() {
-            if let Some((pos, sent)) = e.candidate_from(cursors[e_idx], r.ipid, r.ts, cfg) {
+            if let Some((pos, sent)) = e.probe(cursors[e_idx], ipid, read_ts, cfg) {
                 let key = (sent, e_idx, pos);
                 if best.is_none_or(|b| key < b) {
                     best = Some(key);
@@ -413,48 +496,14 @@ pub fn match_downstream(
             1 => scratch.cands[0],
             _ => {
                 stats.ambiguities += 1;
-                // Earliest send is the FIFO-plausible default...
                 scratch.cands.sort_by_key(|&(e, p)| (edges[e].ts[p], e, p));
-                let default = scratch.cands[0];
-                if !cfg.use_order_channel {
-                    // Ablated: no lookahead, timing only.
-                    default
-                } else {
-                    // ...but let bounded lookahead overrule it (Fig. 9).
-                    let mut best = default;
-                    let mut best_score = None;
-                    // Playout scores never exceed the rx entries actually
-                    // available, so a candidate that aligns every one of
-                    // them cannot be strictly beaten — stop playing the
-                    // rest (they could at most tie, which never flips the
-                    // selection).
-                    let max_achievable = cfg.lookahead.min(rx.len() - (r_idx + 1));
-                    for &(e_idx, pos) in &scratch.cands {
-                        if best_score == Some(max_achievable) {
-                            break;
-                        }
-                        scratch.cursors.clear();
-                        scratch.cursors.extend(edges.iter().map(|e| e.cursor));
-                        scratch.cursors[e_idx] = pos + 1;
-                        let s = lookahead_score(
-                            &edges,
-                            &mut scratch.cursors,
-                            rx,
-                            r_idx + 1,
-                            cfg.lookahead,
-                            cfg,
-                            best_score.unwrap_or(0),
-                        );
-                        if best_score.is_none_or(|b| s > b) {
-                            best_score = Some(s);
-                            best = (e_idx, pos);
-                        }
-                    }
-                    if best != default {
-                        stats.ambiguity_flips += 1;
-                    }
-                    best
+                let tail = rx[r_idx + 1..].iter().map(|r| (r.ipid, r.ts));
+                let best =
+                    choose_candidate(&edges, &scratch.cands, &mut scratch.cursors, &tail, cfg);
+                if best != scratch.cands[0] {
+                    stats.ambiguity_flips += 1;
                 }
+                best
             }
         };
         let (e_idx, pos) = chosen;
